@@ -73,7 +73,6 @@ fn usage() -> String {
      circlekit live compact --snapshot FILE.cks [--crash-point tmp-written|renamed]\n  \
      circlekit serve        --snapshot FILE.cks [--snapshot FILE2.cks ...] [--listen ADDR]\n                         \
      [--threads N] [--workers N] [--queue N] [--batch N] [--cache N]\n                         \
-     [--event-loop on|off] [--dispatchers N]\n                         \
      [--replica-of HOST:PORT] [--repl-crash-point POINT]\n  \
      circlekit serve        --coordinator --shards HOST:PORT,HOST:PORT,... [--listen ADDR]\n                         \
      [--shard-count N] [--shard-deadline-ms MS]\n  \
@@ -147,6 +146,16 @@ impl<'a> Flags<'a> {
             }
         }
         Ok(Flags { positional, pairs })
+    }
+
+    /// Refuses any `--flag` outside `known`, naming the first stranger,
+    /// so a typo or a removed flag is an error instead of a silent
+    /// default.
+    fn refuse_unknown(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        match self.pairs.iter().find(|(name, _)| !known.contains(name)) {
+            Some((name, _)) => Err(format!("{command}: unknown flag --{name}")),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -1060,6 +1069,14 @@ fn live_cmd(args: &[String]) -> Result<String, String> {
 /// connect; the returned string summarises the run after shutdown.
 fn serve(args: &[String]) -> Result<String, String> {
     let flags = Flags::parse(args, &["debug-ops", "coordinator"])?;
+    flags.refuse_unknown(
+        "serve",
+        &[
+            "snapshot", "listen", "threads", "workers", "queue", "batch", "cache", "debug-ops",
+            "replica-of", "repl-crash-point", "coordinator", "shards", "shard-count",
+            "shard-deadline-ms",
+        ],
+    )?;
     let snapshots = flags.all("snapshot");
     let coordinator = if flags.has("coordinator") {
         if !snapshots.is_empty() {
@@ -1114,11 +1131,6 @@ fn serve(args: &[String]) -> Result<String, String> {
             })
         })
         .transpose()?;
-    let event_loop = match flags.get("event-loop").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("bad --event-loop {other:?} (on|off)")),
-    };
     let config = ServeConfig {
         threads: threads_flag(&flags)?,
         workers: flags.parse_value("workers", 1)?,
@@ -1131,8 +1143,6 @@ fn serve(args: &[String]) -> Result<String, String> {
         repl_crash_point,
         fault: circlekit_serve::FaultPlan::default(),
         coordinator,
-        event_loop,
-        dispatchers: flags.parse_value("dispatchers", 0)?,
     };
     circlekit_serve::signal::install_termination_handlers();
     let listen = flags.get("listen").unwrap_or("127.0.0.1:7450");
@@ -1900,6 +1910,20 @@ mod tests {
             dispatch(&args(&["serve", "--snapshot", &snap, "--threads", "many"])).unwrap_err();
         assert!(score_garbage.contains("positive integer"), "{score_garbage}");
         assert_eq!(score_garbage, serve_garbage);
+    }
+
+    #[test]
+    fn serve_refuses_unknown_and_removed_flags() {
+        // A typo must not silently fall back to the default (one worker).
+        let typo = dispatch(&args(&["serve", "--snapshot", "x.cks", "--wokers", "4"]))
+            .unwrap_err();
+        assert_eq!(typo, "serve: unknown flag --wokers");
+        // The removed front-end flags are refused by name, not ignored.
+        for (flag, value) in [("--event-loop", "off"), ("--dispatchers", "16")] {
+            let err = dispatch(&args(&["serve", "--snapshot", "x.cks", flag, value]))
+                .unwrap_err();
+            assert_eq!(err, format!("serve: unknown flag {flag}"));
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //!
 //! A request payload is the op's argument map in the *bval* encoding
 //! below (the `"op"` key travels in the header, not the map). A response
-//! payload is the entire response envelope (`{"ok":…}`) in bval, so a
-//! binary client decodes the exact [`Value`] tree a JSON client parses
-//! — score tables render byte-identically by construction.
+//! payload is the entire response envelope (`{"ok":…}`) in bval, encoded
+//! from the same [`Value`] tree the JSON mode renders as text, so a
+//! binary client decodes the exact tree a JSON client parses — score
+//! tables render byte-identically by construction.
 //!
 //! *bval* is a tagged little-endian encoding of the [`Value`] tree:
 //!
@@ -42,12 +43,18 @@
 //!   1  Bool false —
 //!   2  Bool true  —
 //!   3  UInt       u64 LE
-//!   4  Int        i64 LE
-//!   5  Float      f64 bits LE (bit-exact, no decimal round-trip)
+//!   4  Int        i64 LE (negative values only)
+//!   5  Float      f64 bits LE (finite values only; bit-exact, no
+//!                 decimal round-trip)
 //!   6  Str        u32 LE byte length + UTF-8 bytes
 //!   7  Seq        u32 LE count + elements
 //!   8  Map        u32 LE count + (Str-encoded key, value) pairs
 //! ```
+//!
+//! The encoder keeps to the JSON data model: a non-finite float is
+//! written as Null (JSON renders it `null`) and a non-negative `Int` as
+//! UInt (JSON text parses it back as one). Every tree therefore has one
+//! encoding, the same one its rendered JSON text would parse into.
 
 use crate::protocol::{ErrorKind, FrameError, Request, RequestError, MAX_FRAME_LEN};
 use circlekit_store::crc32;
@@ -325,7 +332,9 @@ const TAG_STR: u8 = 6;
 const TAG_SEQ: u8 = 7;
 const TAG_MAP: u8 = 8;
 
-/// Appends the bval encoding of `value` to `out`.
+/// Appends the bval encoding of `value` to `out`, canonicalised to the
+/// JSON data model (see the module docs): the bytes equal those of the
+/// tree `value.to_string()` parses back into.
 pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Null => out.push(TAG_NULL),
@@ -335,10 +344,15 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
             out.push(TAG_UINT);
             out.extend_from_slice(&n.to_le_bytes());
         }
+        Value::Int(n) if *n >= 0 => {
+            out.push(TAG_UINT);
+            out.extend_from_slice(&n.to_le_bytes());
+        }
         Value::Int(n) => {
             out.push(TAG_INT);
             out.extend_from_slice(&n.to_le_bytes());
         }
+        Value::Float(x) if !x.is_finite() => out.push(TAG_NULL),
         Value::Float(x) => {
             out.push(TAG_FLOAT);
             out.extend_from_slice(&x.to_bits().to_le_bytes());
@@ -621,16 +635,16 @@ pub fn decode_request(op: u16, payload: &[u8]) -> Result<Request, RequestError> 
     Ok(request)
 }
 
-/// Encodes a rendered JSON response envelope as a CKP1 response payload.
-/// Parsing then re-encoding (rather than a second render path) keeps the
-/// binary response the *same tree* the JSON client would decode: Rust's
-/// shortest-round-trip float formatting makes the parse lossless, and
-/// bval carries the bits verbatim from there.
+/// Encodes a *rendered* JSON response envelope as a CKP1 response
+/// payload by parsing it and encoding the parsed tree. The server does
+/// not call this — it encodes its response tree with [`encode_value`]
+/// directly — but it is the reference that encoder is tested against:
+/// for every tree `t`, `encode_value(&t)` writes exactly the bytes of
+/// `encode_response_payload(&t.to_string())`.
 ///
 /// # Errors
 ///
-/// A message if `rendered` is not valid JSON (server responses always
-/// are).
+/// A message if `rendered` is not valid JSON.
 pub fn encode_response_payload(rendered: &str) -> Result<Vec<u8>, String> {
     let value: Value =
         serde_json::from_str(rendered).map_err(|e| format!("unencodable response: {e}"))?;
@@ -648,13 +662,6 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<Value, String> {
     decode_value(payload)
 }
 
-/// Renders a typed error envelope as a ready-to-send response frame.
-pub fn error_frame(op: u16, kind: ErrorKind, message: &str) -> Vec<u8> {
-    let envelope = crate::protocol::error_payload(kind, message);
-    let payload = encode_response_payload(&envelope).expect("error envelopes are valid JSON");
-    encode_frame(KIND_RESPONSE, op, &payload)
-}
-
 /// True when a connection's first byte announces CKP1 rather than a
 /// JSON length prefix (see the module docs for why this is unambiguous).
 pub fn sniff_binary(first_byte: u8) -> bool {
@@ -665,6 +672,7 @@ pub fn sniff_binary(first_byte: u8) -> bool {
 mod tests {
     use super::*;
     use crate::protocol::wire;
+    use proptest::prelude::*;
 
     fn roundtrip(value: &Value) -> Value {
         let mut bytes = Vec::new();
@@ -833,6 +841,81 @@ mod tests {
         let tree = decode_response_payload(&payload).unwrap();
         let reparsed: Value = serde_json::from_str(&rendered).unwrap();
         assert_eq!(tree, reparsed);
+    }
+
+    /// Floats across every class: random bit patterns (mostly NaNs and
+    /// normals), plus infinities, signed zeros, subnormals and extremes.
+    fn arb_float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            prop::sample::select(vec![
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::MIN_POSITIVE / 2.0,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                f64::MIN,
+                1.0,
+                0.1 + 0.2,
+                1e21,
+                1e-7,
+            ]),
+        ]
+    }
+
+    /// Strings mixing ASCII, JSON escapes, control characters, non-ASCII
+    /// and arbitrary code points.
+    fn arb_string() -> impl Strategy<Value = String> {
+        let palette = prop::sample::select(vec![
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{1}', '\u{8}',
+            '\u{c}', '\u{1f}', '\u{7f}', 'é', 'α', '中', '😀', '\u{2028}', '\u{fffd}',
+        ]);
+        let anything = any::<u32>().prop_map(|n| char::from_u32(n % 0x11_0000).unwrap_or('?'));
+        prop::collection::vec(prop_oneof![palette, anything], 0..8)
+            .prop_map(|chars| chars.into_iter().collect())
+    }
+
+    fn arb_leaf() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(Value::UInt),
+            any::<i64>().prop_map(Value::Int),
+            prop::sample::select(vec![0, 1, -1, i64::MAX, i64::MIN]).prop_map(Value::Int),
+            arb_float().prop_map(Value::Float),
+            arb_string().prop_map(Value::Str),
+        ]
+    }
+
+    fn arb_tree(depth: u32) -> BoxedStrategy<Value> {
+        if depth == 0 {
+            return arb_leaf().boxed();
+        }
+        prop_oneof![
+            arb_leaf(),
+            prop::collection::vec(arb_tree(depth - 1), 0..5).prop_map(Value::Seq),
+            prop::collection::vec((arb_string(), arb_tree(depth - 1)), 0..5)
+                .prop_map(Value::Map),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn tree_encoding_equals_the_parsed_json_reference(tree in arb_tree(3)) {
+            let mut direct = Vec::new();
+            encode_value(&tree, &mut direct);
+            let reference = encode_response_payload(&tree.to_string())
+                .expect("every rendered tree is valid JSON");
+            prop_assert_eq!(direct, reference);
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The epoll front end: one loop thread owning every connection,
-//! replacing the thread-per-connection acceptor/handler pair when
-//! [`crate::ServeConfig::event_loop`] is on (the default).
+//! The epoll front end: one loop thread owning every connection — the
+//! server's only connection front end.
 //!
 //! ## Architecture
 //!
@@ -15,9 +14,11 @@
 //! and partial frames/writes stay buffered per connection. Decoded
 //! requests are stamped with a per-connection sequence number and handed
 //! to a dispatcher pool over a second [`BoundedQueue`]; dispatchers call
-//! the same [`handle_request`] the threaded path uses, so the scoring
-//! queue, micro-batcher, LRU cache, and registry are shared unchanged —
-//! served bytes are identical in both front ends.
+//! [`handle_request`], which feeds the scoring queue, micro-batcher, LRU
+//! cache, and registry and returns the response envelope as one
+//! [`Value`] tree. [`Loop::render`] encodes that tree for the
+//! connection's mode — JSON text or CKP1 bval — so both modes carry the
+//! same answer.
 //!
 //! ## Pipelining and the ordering guarantee
 //!
@@ -29,7 +30,7 @@
 //! request order**: completions park in a per-connection `BTreeMap`
 //! keyed by sequence number and only the next undelivered sequence is
 //! appended to the write buffer. A pipelined client can therefore match
-//! responses to requests positionally, exactly as on the serial path.
+//! responses to requests positionally.
 //!
 //! ## Protocol negotiation
 //!
@@ -54,7 +55,7 @@
 //! connection first — pipelined predecessors are never dropped.
 
 use crate::binary::{self, BinaryError};
-use crate::protocol::{error_payload, ok_payload, ErrorKind, Request, RequestError, MAX_FRAME_LEN};
+use crate::protocol::{error_value, ok_value, ErrorKind, Request, RequestError, MAX_FRAME_LEN};
 use crate::queue::{BoundedQueue, PushError};
 use crate::replication;
 use crate::server::{handle_request, Shared, POLL_INTERVAL, SHUTDOWN_GRACE_POLLS};
@@ -102,7 +103,7 @@ struct Completion {
     generation: u64,
     seq: u64,
     op: u16,
-    outcome: Result<String, RequestError>,
+    outcome: Result<Value, RequestError>,
 }
 
 #[derive(Default)]
@@ -150,10 +151,9 @@ impl Conn {
     }
 }
 
-/// Runs the event loop until shutdown completes its drain. Takes the
-/// role `accept_loop` has on the threaded path; `handlers` receives the
-/// threads that replication subscriptions are handed off to, so
-/// [`crate::Server::join`] can join them as usual.
+/// Runs the event loop until shutdown completes its drain. `handlers`
+/// receives the threads that replication subscriptions are handed off
+/// to, so [`crate::Server::join`] can join them.
 pub(crate) fn run(
     listener: TcpListener,
     shared: &Arc<Shared>,
@@ -174,7 +174,12 @@ pub(crate) fn run(
     let dispatch: Arc<BoundedQueue<DispatchJob>> =
         Arc::new(BoundedQueue::new(shared.config.queue_capacity.max(64)));
     let completions = Arc::new(Completions::default());
-    let dispatchers: Vec<JoinHandle<()>> = (0..shared.config.dispatcher_count())
+    // The floor of 8 keeps enough dispatchers idle that a request
+    // arriving while the scoring queue is saturated is still *refused*
+    // synchronously (`overloaded`) rather than parked behind the
+    // blocked ones.
+    let dispatcher_count = (shared.config.workers * 4).max(8);
+    let dispatchers: Vec<JoinHandle<()>> = (0..dispatcher_count)
         .map(|i| {
             let shared = Arc::clone(shared);
             let dispatch = Arc::clone(&dispatch);
@@ -298,8 +303,8 @@ impl Loop {
         if self.conns.iter().all(Option::is_none) {
             return true;
         }
-        // In-flight work gets the same grace the threaded path gives a
-        // mid-frame reader; then the stragglers are dropped.
+        // In-flight work gets a grace window of SHUTDOWN_GRACE_POLLS
+        // polls; then the stragglers are dropped.
         self.shutdown_polls += 1;
         if self.shutdown_polls > SHUTDOWN_GRACE_POLLS {
             for slot in 0..self.conns.len() {
@@ -470,9 +475,8 @@ impl Loop {
                         Ok(text) => {
                             self.take_request(slot, binary::OP_UNKNOWN, Request::parse(&text))
                         }
-                        // Same as the threaded path: nothing sane to say
-                        // on a non-UTF-8 stream — close, still flushing
-                        // what is owed.
+                        // Nothing sane to say on a non-UTF-8 stream —
+                        // close, still flushing what is owed.
                         Err(_) => {
                             conn.stop_reading = true;
                             conn.close_after_flush = true;
@@ -536,11 +540,11 @@ impl Loop {
             Err(err) => self.finish_inline_seq(slot, seq, op, Err(err), false),
             Ok(Request::Shutdown) => {
                 self.shared.trigger_shutdown();
-                let payload = ok_payload(vec![(
+                let tree = ok_value(vec![(
                     "message".to_string(),
                     Value::Str("draining".to_string()),
                 )]);
-                self.finish_inline_seq(slot, seq, op, Ok(payload), true);
+                self.finish_inline_seq(slot, seq, op, Ok(tree), true);
             }
             Ok(Request::Replicate { snapshot, base_crc, wal_offset }) => {
                 self.hand_off_subscription(slot, seq, op, snapshot, base_crc, wal_offset);
@@ -574,10 +578,9 @@ impl Loop {
     /// A `replicate` request turns the connection into a WAL
     /// subscription, which is a blocking streaming protocol — the fd is
     /// pulled out of the loop and handed to a dedicated thread running
-    /// the same [`replication::serve_subscription`] as the threaded
-    /// path. Only a "clean" connection may convert: JSON mode (the WAL
-    /// stream is JSON-framed), nothing pipelined ahead of it, and no
-    /// buffered bytes behind it.
+    /// [`replication::serve_subscription`]. Only a "clean" connection
+    /// may convert: JSON mode (the WAL stream is JSON-framed), nothing
+    /// pipelined ahead of it, and no buffered bytes behind it.
     fn hand_off_subscription(
         &mut self,
         slot: usize,
@@ -633,7 +636,7 @@ impl Loop {
         &mut self,
         slot: usize,
         op: u16,
-        outcome: Result<String, RequestError>,
+        outcome: Result<Value, RequestError>,
         close_after: bool,
     ) {
         let conn = self.conns[slot].as_mut().expect("checked by caller");
@@ -647,7 +650,7 @@ impl Loop {
         slot: usize,
         seq: u64,
         op: u16,
-        outcome: Result<String, RequestError>,
+        outcome: Result<Value, RequestError>,
         close_after: bool,
     ) {
         let mode = self.conns[slot].as_ref().expect("checked by caller").mode;
@@ -660,39 +663,41 @@ impl Loop {
         }
     }
 
-    /// Renders a response for the connection's mode, keeping the
-    /// ok/error counters honest (this is `respond` from the threaded
-    /// path, minus the socket write).
-    fn render(&self, mode: Mode, op: u16, outcome: Result<String, RequestError>) -> Vec<u8> {
+    /// Bumps the ok/error/overloaded/deadline counters for one answered
+    /// request — the only place responses are counted.
+    fn count(&self, outcome: &Result<Value, RequestError>) {
         let stats = &self.shared.stats;
-        let payload = match outcome {
-            Ok(payload) => {
-                ServeStats::bump(&stats.ok_responses);
-                payload
-            }
-            Err((kind, message)) => {
+        match outcome {
+            Ok(_) => ServeStats::bump(&stats.ok_responses),
+            Err((kind, _)) => {
                 ServeStats::bump(&stats.error_responses);
                 match kind {
                     ErrorKind::Overloaded => ServeStats::bump(&stats.overloaded),
                     ErrorKind::DeadlineExceeded => ServeStats::bump(&stats.deadline_expired),
                     _ => {}
                 }
-                error_payload(kind, &message)
             }
-        };
+        }
+    }
+
+    /// Counts a response and encodes its envelope tree for the
+    /// connection's mode: JSON text, or the same tree as CKP1 bval.
+    fn render(&self, mode: Mode, op: u16, outcome: Result<Value, RequestError>) -> Vec<u8> {
+        self.count(&outcome);
+        let tree = outcome.unwrap_or_else(|(kind, message)| error_value(kind, &message));
         match mode {
             Mode::Binary => {
-                let body = binary::encode_response_payload(&payload)
-                    .expect("server responses are valid JSON");
+                let mut body = Vec::new();
+                binary::encode_value(&tree, &mut body);
                 binary::encode_frame(binary::KIND_RESPONSE, op, &body)
             }
             // Unknown cannot happen (a response implies a parsed frame),
             // but JSON is the safe rendering if it ever did.
             Mode::Json | Mode::Unknown => {
-                let bytes = payload.as_bytes();
-                let mut framed = Vec::with_capacity(4 + bytes.len());
-                framed.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                framed.extend_from_slice(bytes);
+                let text = tree.to_string();
+                let mut framed = Vec::with_capacity(4 + text.len());
+                framed.extend_from_slice(&(text.len() as u32).to_be_bytes());
+                framed.extend_from_slice(text.as_bytes());
                 framed
             }
         }
@@ -710,9 +715,9 @@ impl Loop {
             let mode = match self.conns.get(slot).and_then(Option::as_ref) {
                 Some(conn) if conn.generation == generation => conn.mode,
                 // The connection died while the request ran; the work
-                // still counts (and so do its counters).
+                // still counts, but nobody reads the answer.
                 _ => {
-                    self.render(Mode::Json, op, outcome);
+                    self.count(&outcome);
                     continue;
                 }
             };

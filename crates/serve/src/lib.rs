@@ -7,9 +7,12 @@
 //!
 //! * **Framing** ([`protocol`]): 4-byte big-endian length + UTF-8 JSON,
 //!   with typed error kinds and a hard frame-size ceiling.
-//! * **Backpressure** ([`queue`]): a bounded queue between connection
-//!   handlers and scoring workers; saturation is answered synchronously
-//!   with an `overloaded` response instead of unbounded buffering.
+//! * **One front end** (`event_loop`): a single epoll thread owns every
+//!   connection; each answer is one response `Value` tree, encoded as
+//!   JSON text or as CKP1 bval ([`binary`]) per connection.
+//! * **Backpressure** ([`queue`]): a bounded queue between the front end
+//!   and scoring workers; saturation is answered synchronously with an
+//!   `overloaded` response instead of unbounded buffering.
 //! * **Micro-batching** ([`server`]): queued same-snapshot scoring jobs
 //!   are coalesced and evaluated in one [`ParallelScorer`] pass.
 //! * **Caching** ([`cache`]): an LRU keyed by (snapshot, function, set

@@ -679,8 +679,9 @@ impl Request {
     }
 }
 
-/// Renders the standard error response payload.
-pub fn error_payload(kind: ErrorKind, message: &str) -> String {
+/// The standard error response envelope:
+/// `{"ok":false,"error":{"kind":…,"message":…}}`.
+pub fn error_value(kind: ErrorKind, message: &str) -> Value {
     Value::Map(vec![
         ("ok".to_string(), Value::Bool(false)),
         (
@@ -691,14 +692,23 @@ pub fn error_payload(kind: ErrorKind, message: &str) -> String {
             ]),
         ),
     ])
-    .to_string()
 }
 
-/// Renders a success response: `{"ok":true, ...fields}`.
-pub fn ok_payload(fields: Vec<(String, Value)>) -> String {
+/// A success response envelope: `{"ok":true, ...fields}`.
+pub fn ok_value(fields: Vec<(String, Value)>) -> Value {
     let mut entries = vec![("ok".to_string(), Value::Bool(true))];
     entries.extend(fields);
-    Value::Map(entries).to_string()
+    Value::Map(entries)
+}
+
+/// Renders the standard error response payload as JSON text.
+pub fn error_payload(kind: ErrorKind, message: &str) -> String {
+    error_value(kind, message).to_string()
+}
+
+/// Renders a success response as JSON text: `{"ok":true, ...fields}`.
+pub fn ok_payload(fields: Vec<(String, Value)>) -> String {
+    ok_value(fields).to_string()
 }
 
 /// Encodes raw bytes as lowercase hex — how CKW1 replication frames ride

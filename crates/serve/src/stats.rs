@@ -49,8 +49,7 @@ pub struct ServeStats {
     pub shard_partials: AtomicU64,
     /// Connections negotiated to the CKP1 binary protocol.
     pub binary_connections: AtomicU64,
-    /// Most requests one connection has had undelivered at once
-    /// (event-loop front end only; the threaded path is serial).
+    /// Most requests one connection has had undelivered at once.
     pub pipelined_peak: AtomicU64,
 }
 

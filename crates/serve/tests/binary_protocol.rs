@@ -2,10 +2,8 @@
 //! the binary codec bit-identically (property-tested), JSON-mode and
 //! binary-mode responses render byte-identical score tables, pipelined
 //! requests come back in request order, a burst of simultaneous
-//! connects sees zero refused, every malformed-frame shape is a
-//! typed error or a clean close — never a panic or a hang — and the
-//! thread-per-connection front end negotiates CKP1 exactly like the
-//! event loop.
+//! connects sees zero refused, and every malformed-frame shape is a
+//! typed error or a clean close — never a panic or a hang.
 
 use circlekit_scoring::ScoringFunction;
 use circlekit_serve::binary;
@@ -285,61 +283,6 @@ fn binary_client_scores_match_json_client_bit_for_bit() {
     server.join();
 }
 
-#[test]
-fn threaded_front_end_negotiates_ckp1_like_the_event_loop() {
-    // `--event-loop off` must speak the same two protocols: the thread-
-    // per-connection path sniffs the first byte exactly like the loop.
-    let (server, data) =
-        start_server(ServeConfig { event_loop: false, ..ServeConfig::default() });
-    let addr = server.local_addr();
-    let options = ClientOptions {
-        connect_timeout: Some(Duration::from_secs(5)),
-        read_timeout: Some(Duration::from_secs(10)),
-        binary: true,
-    };
-    let mut binary_client = Client::connect_with_options(addr, options).unwrap();
-    assert!(binary_client.is_binary());
-    let mut json_client = Client::connect(addr).unwrap();
-    for g in 0..data.groups.len().min(4) {
-        let a = binary_client.score_group("gplus", g, Some("all"), None).unwrap();
-        let b = json_client.score_group("gplus", g, Some("all"), None).unwrap();
-        let a_bits: Vec<u64> =
-            Client::scores_of(&a).unwrap().iter().map(|s| s.to_bits()).collect();
-        let b_bits: Vec<u64> =
-            Client::scores_of(&b).unwrap().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(a_bits, b_bits, "group {g} diverged across client modes");
-    }
-
-    // Same failure matrix as the event loop: a response-kind frame draws
-    // a typed error echoing its op and the connection survives.
-    let mut stream = connect_raw(addr);
-    let (op, payload) = binary::encode_request(&Request::Health);
-    stream.write_all(&binary::encode_frame(binary::KIND_RESPONSE, op, &payload)).unwrap();
-    let frame = read_binary_frame(&mut stream).expect("typed error for response-kind frame");
-    assert_eq!(frame.op, op);
-    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
-    assert!(envelope.contains("bad-request"), "{envelope}");
-    stream.write_all(&binary::encode_frame(binary::KIND_REQUEST, op, &payload)).unwrap();
-    let frame = read_binary_frame(&mut stream).expect("connection survived the bad frame");
-    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
-    assert!(envelope.contains("serving"), "{envelope}");
-
-    // A framing defect draws one typed error, then the stream closes.
-    let mut stream = connect_raw(addr);
-    let mut bad = binary::encode_frame(binary::KIND_REQUEST, op, &payload);
-    bad[0] = b'C';
-    bad[1] = b'X'; // still sniffs as binary, then fails the magic check
-    stream.write_all(&bad).unwrap();
-    let frame = read_binary_frame(&mut stream).expect("typed error for bad magic");
-    assert_eq!(frame.op, binary::OP_UNKNOWN);
-    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
-    assert!(envelope.contains("bad-request"), "{envelope}");
-    assert!(read_binary_frame(&mut stream).is_none(), "stream must close after the defect");
-
-    server.shutdown_handle().trigger();
-    server.join();
-}
-
 // ---------------------------------------------------------------------
 // Pipelining: responses strictly in request order
 // ---------------------------------------------------------------------
@@ -458,11 +401,15 @@ fn malformed_binary_frames_are_typed_errors_or_clean_closes() {
     let (op, payload) = binary::encode_request(&Request::Health);
     let good = binary::encode_frame(binary::KIND_REQUEST, op, &payload);
 
-    // Bad magic (first byte still sniffs as binary).
-    let mut bad_magic = good.clone();
-    bad_magic[3] = b'9';
-    let envelope = expect_error_then_close(addr, &bad_magic).expect("typed error");
-    assert!(envelope.contains("\"ok\":false"), "{envelope}");
+    // Bad magic (first byte still sniffs as binary), wrong at the
+    // second byte and at the last one: a typed bad-request, then close.
+    for at in [1, 3] {
+        let mut bad_magic = good.clone();
+        bad_magic[at] = b'9';
+        let envelope = expect_error_then_close(addr, &bad_magic).expect("typed error");
+        assert!(envelope.contains("\"ok\":false"), "{envelope}");
+        assert!(envelope.contains("bad-request"), "{envelope}");
+    }
 
     // Bad CRC: flip one payload byte so the header checksum disagrees.
     let mut bad_crc = good.clone();
@@ -508,9 +455,12 @@ fn malformed_binary_frames_are_typed_errors_or_clean_closes() {
     assert_eq!(frame.op, op);
     let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
     assert!(envelope.contains("\"ok\":false"), "{envelope}");
+    assert!(envelope.contains("bad-request"), "{envelope}");
     stream.write_all(&good).unwrap();
     let frame = read_binary_frame(&mut stream).expect("the connection must survive");
     assert_eq!(frame.op, op);
+    let envelope = binary::decode_response_payload(&frame.payload).unwrap().to_string();
+    assert!(envelope.contains("serving"), "{envelope}");
 
     // After the whole battery the server still serves.
     let mut client = Client::connect(addr).unwrap();
